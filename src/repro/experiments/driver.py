@@ -37,12 +37,13 @@ use and reused by every fleet run, ``reproduce_all`` pass,
 (:class:`repro.sweep.SweepRunner`) in the process, so repeated runs
 stop paying pool spawn + re-import per call (:func:`shared_pool`).
 
-Since DESIGN.md §11 the warm pool is a
-:class:`~repro.resilience.pool.SupervisedPool` and every parallel path
-dispatches through :func:`~repro.resilience.supervisor.supervised_map`:
-units get heartbeat-checked deadlines, failed/timed-out units retry
-with deterministic backoff, repeat offenders are quarantined, and the
-run degrades to an explicit partial result instead of dying.
+Both fan-outs are adapters over one unit engine
+(:func:`~repro.resilience.engine.run_units`, DESIGN.md §12 "The unit
+engine"): they build a plan of units, order it, hand it to the engine,
+then assemble and seal.  Replay, quarantine, the cache probe, inline or
+supervised pooled execution (:class:`~repro.resilience.pool.
+SupervisedPool`, DESIGN.md §11) and the journal ordering all live
+there, once.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import ResultCache, unit_key
@@ -62,12 +62,12 @@ from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import NodeResult
 from repro.fleet.scenario import FleetScenario
-from repro.journal.run import RunJournal
+from repro.journal.run import NullJournal, RunJournal
 from repro.resilience.chaos import ChaosPlan
+from repro.resilience.engine import Unit, run_units
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import PoolCounters, SupervisedPool
 from repro.resilience.quarantine import QuarantineLog
-from repro.resilience.supervisor import supervised_map
 
 __all__ = [
     "ARTIFACTS",
@@ -164,11 +164,9 @@ class FleetDriver:
         chaos: fault-injection plan override (tests/harness only; the
             ``REPRO_CHAOS_PLAN`` environment variable otherwise).
         journal: crash-consistent run ledger (DESIGN.md §12).  A
-            journaled run is always chunk-granular (even ``workers=1``)
-            and uses the *manifest's* frozen chunk plan, replays
-            journaled chunks instead of re-simulating them, records
-            every dispatch/completion durably, and seals with the
-            aggregate digest.
+            journaled run uses the *manifest's* frozen chunk plan,
+            replays journaled chunks instead of re-simulating them, and
+            seals with the aggregate digest.
     """
 
     def __init__(
@@ -187,7 +185,7 @@ class FleetDriver:
         self.resilience = resilience
         self.quarantine = quarantine
         self.chaos = chaos
-        self.journal = journal
+        self.journal = journal or NullJournal()
 
     def shards(self) -> List[Tuple[int, ...]]:
         """Round-robin node-id shards, one per worker.
@@ -220,22 +218,33 @@ class FleetDriver:
             )
         return chunks
 
+    def plan(self) -> Dict[str, Tuple[int, ...]]:
+        """The chunk plan: unit id -> node ids, in dispatch order.
+
+        A journal freezes this plan into its manifest at the run's
+        first invocation (:func:`repro.journal.pipelines.
+        open_fleet_journal`).
+        """
+        return {
+            f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})": chunk
+            for index, chunk in enumerate(self.chunks())
+        }
+
     def run(self) -> FleetAggregate:
         """Simulate the whole fleet and return the aggregate.
 
-        The parallel path streams each finished chunk into a
-        :class:`FleetAggregateBuilder` as it lands (completion order is
-        irrelevant — the reduction is order-independent and the builder
-        canonicalizes node order), so no per-shard result lists are
-        materialized and aggregation overlaps the remaining simulation.
-        A single-chunk work list runs inline: a pool cannot overlap
-        anything when there is only one unit of work to hand out.
-        Multi-chunk runs dispatch through :func:`supervised_map` onto
-        the process-wide warm pool (:func:`shared_pool`): chunks whose
-        workers die or stall are retried under the driver's
-        :class:`RetryPolicy`, and chunks that keep failing are
-        quarantined — the aggregate then reports their node ids as
-        explicit ``holes`` instead of the run dying.
+        Chunks run through the unit engine
+        (:func:`~repro.resilience.engine.run_units`): replayed from the
+        journal where it holds them, otherwise executed — inline, or
+        supervised on the warm shared pool — and streamed into a
+        :class:`FleetAggregateBuilder` as they land.  The reduction is
+        order-independent and the builder canonicalizes node order, so
+        completion order cannot move a bit.  Chunks that keep failing
+        are quarantined, and the aggregate reports their node ids as
+        explicit ``holes`` instead of the run dying.  The chunk plan of
+        a journaled run is the manifest's, never re-derived — so a
+        resume under a different ``--workers`` executes exactly the
+        un-journaled chunks of the original plan.
         """
         with obs.span(
             "pipeline", cat="fleet",
@@ -244,109 +253,28 @@ class FleetDriver:
             return self._run()
 
     def _run(self) -> FleetAggregate:
-        if self.journal is not None:
-            return self._run_journaled()
-        if self.workers == 1:
-            return FleetScenario(self.config).run_fleet()
-        chunks = self.chunks()
+        plan = self.journal.manifest.get("plan", {}).get("chunks")
         builder = FleetAggregateBuilder()
-        if len(chunks) <= 1:
-            for chunk in chunks:
-                builder.add_many(_run_shard((self.config, chunk)))
-            return builder.build()
-        units: List[Tuple[str, Any]] = []
-        nodes_by_unit: Dict[str, Tuple[int, ...]] = {}
-        for index, chunk in enumerate(chunks):
-            unit_id = f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})"
-            units.append((unit_id, (self.config, chunk)))
-            nodes_by_unit[unit_id] = chunk
-        outcome = supervised_map(
+        holes: List[int] = []
+        run_units(
+            [
+                Unit(unit_id, (self.config, tuple(int(n) for n in chunk)))
+                for unit_id, chunk in (plan or self.plan()).items()
+            ],
             _run_shard,
-            units,
             workers=self.workers,
-            pool_factory=shared_pool,
-            pool_shutdown=shutdown_shared_pool,
+            journal=self.journal,
             policy=self.resilience,
             quarantine=self.quarantine,
             chaos=self.chaos,
-            on_result=lambda _unit_id, results: builder.add_many(results),
             context="fleet",
+            on_result=lambda _unit, results, _wall: builder.add_many(
+                results
+            ),
+            on_hole=lambda unit: holes.extend(unit.payload[1]),
         )
-        holes = tuple(
-            sorted(
-                node_id
-                for unit_id in outcome.holes
-                for node_id in nodes_by_unit[unit_id]
-            )
-        )
-        return builder.build(holes=holes)
-
-    def _run_journaled(self) -> FleetAggregate:
-        """Journaled fleet run: replay durable chunks, execute the rest.
-
-        The chunk plan comes from the journal's manifest (frozen at the
-        run's first invocation), never re-derived — so a resume under a
-        different ``--workers`` executes exactly the un-journaled chunks
-        of the original plan.  The run seals with the aggregate digest;
-        chunk shape cannot move a node's simulation (DESIGN.md §5), so
-        the resumed digest is bit-identical to an uninterrupted run.
-        """
-        journal = self.journal
-        assert journal is not None
-        plan = journal.manifest["plan"]["chunks"]
-        builder = FleetAggregateBuilder()
-        hole_nodes: List[int] = []
-        pending: List[Tuple[str, Any]] = []
-        nodes_by_unit: Dict[str, Tuple[int, ...]] = {}
-        for unit_id in journal.units:
-            chunk = tuple(int(n) for n in plan[unit_id])
-            nodes_by_unit[unit_id] = chunk
-            if journal.is_done(unit_id):
-                builder.add_many(journal.replayed[unit_id])
-            elif unit_id in journal.replayed_quarantined:
-                hole_nodes.extend(chunk)
-            else:
-                pending.append((unit_id, (self.config, chunk)))
-
-        def handle_result(unit_id: str, results: List[NodeResult]) -> None:
-            journal.record_done(unit_id, results, 0.0)
-            builder.add_many(results)
-
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                for unit_id, payload in pending:
-                    journal.record_dispatched(unit_id, 0)
-                    started = time.perf_counter()
-                    with obs.span(unit_id, cat="unit", context="fleet"):
-                        results = _run_shard(payload)
-                    journal.record_done(
-                        unit_id, results, time.perf_counter() - started
-                    )
-                    builder.add_many(results)
-            else:
-                outcome = supervised_map(
-                    _run_shard,
-                    pending,
-                    workers=self.workers,
-                    pool_factory=shared_pool,
-                    pool_shutdown=shutdown_shared_pool,
-                    policy=self.resilience,
-                    quarantine=self.quarantine,
-                    chaos=self.chaos,
-                    on_dispatch=journal.record_dispatched,
-                    on_result=handle_result,
-                    on_quarantine=lambda record: journal.record_quarantined(
-                        record.unit_id, record.kind
-                    ),
-                    context="fleet",
-                )
-                hole_nodes.extend(
-                    node_id
-                    for unit_id in outcome.holes
-                    for node_id in nodes_by_unit[unit_id]
-                )
-        aggregate = builder.build(holes=tuple(sorted(hole_nodes)))
-        journal.seal(aggregate.digest())
+        aggregate = builder.build(holes=holes)
+        self.journal.seal(aggregate.digest())
         return aggregate
 
 
@@ -468,27 +396,18 @@ def _hole_run(
     return ArtifactRun(name, result, wall_seconds, holes=tuple(ordered))
 
 
-def _run_artifact(payload: Tuple[str, float]) -> ArtifactRun:
-    name, scale = payload
-    path, kwargs_builder = ARTIFACT_SPECS[name]
-    started = time.perf_counter()
-    result = _resolve(path)(**kwargs_builder(scale))
-    return ArtifactRun(name, result, time.perf_counter() - started)
+def _run_series_unit(payload: Tuple[str, Optional[str], float]) -> Any:
+    """Worker entry: one ``(artifact, series)`` unit's payload.
 
-
-def _run_series_unit(
-    payload: Tuple[str, Optional[str], float]
-) -> Tuple[str, Optional[str], Any, float]:
-    """Worker entry: one ``(artifact, series)`` unit (or whole artifact)."""
+    A ``None`` series is a whole single-kernel artifact, whose payload
+    is its :class:`ExperimentResult`.
+    """
     name, series, scale = payload
-    started = time.perf_counter()
+    path, kwargs_builder = ARTIFACT_SPECS[name]
     if series is None:
-        run = _run_artifact((name, scale))
-        return name, None, run.result, run.wall_seconds
+        return _resolve(path)(**kwargs_builder(scale))
     _series_path, unit_path, _assemble_path = SERIES_SPECS[name]
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
-    result = _resolve(unit_path)(series, **kwargs_builder(scale))
-    return name, series, result, time.perf_counter() - started
+    return _resolve(unit_path)(series, **kwargs_builder(scale))
 
 
 def artifact_units(name: str, scale: float) -> List[Tuple[str, Optional[str]]]:
@@ -517,8 +436,6 @@ def _estimated_unit_cost(name: str, n_units: int, scale: float) -> float:
 
 # -- incremental reproduction (DESIGN.md §8) ---------------------------------
 
-_CACHE_MISS = object()
-
 #: Measured wall-time histograms per work unit, keyed by
 #: ``"artifact/series@scale"`` (DESIGN.md §14).  Session-wide; merged
 #: with (and persisted to) the cache's recorded summaries when a cache
@@ -536,21 +453,6 @@ def _wall_key(name: str, series: Optional[str], scale: float) -> str:
 def _cache_key(name: str, series: Optional[str], scale: float) -> str:
     _path, kwargs_builder = ARTIFACT_SPECS[name]
     return unit_key(name, series, scale, kwargs_builder(scale))
-
-
-def _record_wall(
-    name: str,
-    series: Optional[str],
-    scale: float,
-    wall: float,
-    executed: Optional[Dict[str, float]] = None,
-) -> None:
-    """Record one executed unit's measured wall (the single site both
-    the cached-serial and the series-granular paths call)."""
-    key = _wall_key(name, series, scale)
-    _unit_timings.observe(key, wall)
-    if executed is not None:
-        executed[key] = wall
 
 
 def _dispatch_costs(
@@ -649,7 +551,6 @@ def reproduce_all(
     scale: float = 1.0,
     only: Optional[Sequence[str]] = None,
     on_result: Optional[Callable[[ArtifactRun], None]] = None,
-    granularity: str = "series",
     cache: Optional[ResultCache] = None,
     resilience: Optional[RetryPolicy] = None,
     quarantine: Optional[QuarantineLog] = None,
@@ -657,6 +558,11 @@ def reproduce_all(
     journal: Optional[RunJournal] = None,
 ) -> List[ArtifactRun]:
     """Regenerate every table and figure, serially or sharded.
+
+    Every artifact expands to its ``(artifact, series)`` work units
+    (:func:`artifact_units`), which run longest-first through the unit
+    engine (:func:`~repro.resilience.engine.run_units`) and assemble
+    per artifact as the last of its units lands.
 
     Args:
         parallel: shard the pass across worker processes.
@@ -667,11 +573,6 @@ def reproduce_all(
         on_result: called with each run as soon as it is available, in
             canonical order — lets callers stream output during a
             minutes-long full pass instead of printing at the end.
-        granularity: ``"series"`` (default) dispatches independent
-            ``(artifact, series)`` units so the pass scales past the
-            twelve artifacts and fig7's nine scenarios no longer
-            serialize the tail; ``"artifact"`` keeps the pre-sharding
-            one-artifact-per-unit behavior (the bench baseline).
         cache: consult (and fill) this result cache per work unit —
             unchanged units load instead of executing, so a warm re-run
             assembles every figure without running a single simulation,
@@ -680,25 +581,23 @@ def reproduce_all(
             (default :class:`RetryPolicy`(); DESIGN.md §11).
         quarantine: where poisoned units are persisted (optional).
         chaos: fault-injection plan override (tests/harness only).
-        journal: crash-consistent run ledger (DESIGN.md §12).  A
-            journaled pass is always series-granular (``granularity``
-            must stay ``"series"``): journaled units replay instead of
-            executing (or probing the cache), completions are recorded
-            durably, and the pass seals with :func:`runs_digest`.
+        journal: crash-consistent run ledger (DESIGN.md §12): journaled
+            units replay instead of executing (or probing the cache),
+            completions are recorded durably, and the pass seals with
+            :func:`runs_digest`.
 
     Returns:
         Runs in canonical (paper) order regardless of completion order.
-        In parallel series mode (and any cached pass) each run's
-        ``wall_seconds`` is the *sum* of its executed units' walls (its
-        CPU cost — near zero on a warm cache), not its elapsed span.
+        Each run's ``wall_seconds`` is the *sum* of its executed units'
+        walls (its CPU cost — near zero on a warm cache), not its
+        elapsed span.
     """
     with obs.span(
-        "pipeline", cat="reproduce",
-        scale=scale, parallel=parallel, granularity=granularity,
+        "pipeline", cat="reproduce", scale=scale, parallel=parallel,
     ):
         return _reproduce_all_impl(
-            parallel, workers, scale, only, on_result, granularity,
-            cache, resilience, quarantine, chaos, journal,
+            parallel, workers, scale, only, on_result,
+            cache, resilience, quarantine, chaos, journal or NullJournal(),
         )
 
 
@@ -708,226 +607,23 @@ def _reproduce_all_impl(
     scale: float,
     only: Optional[Sequence[str]],
     on_result: Optional[Callable[[ArtifactRun], None]],
-    granularity: str,
     cache: Optional[ResultCache],
     resilience: Optional[RetryPolicy],
     quarantine: Optional[QuarantineLog],
     chaos: Optional[ChaosPlan],
-    journal: Optional[RunJournal],
+    journal: Any,
 ) -> List[ArtifactRun]:
-    if granularity not in ("series", "artifact"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if journal is not None and granularity != "series":
-        raise ValueError(
-            "journaled reproduce passes are series-granular; "
-            "use granularity='series' or journal=None"
-        )
     names = [n for n in ARTIFACTS if only is None or n in only]
     unknown = set(only or ()) - set(ARTIFACTS)
     if unknown:
         raise ValueError(f"unknown artifacts: {sorted(unknown)}")
     _load_recorded_walls(cache)
-    if journal is not None:
-        # Journaled passes always go through the series-granular path —
-        # the journal's unit list *is* the series expansion, and the
-        # inline mode keeps serial passes pool-free.
-        return _reproduce_series_granular(
-            names, workers, scale, on_result, cache,
-            resilience, quarantine, chaos,
-            journal=journal, inline=not parallel,
-        )
-    # Series granularity can shard a *single* artifact (fig7 alone is
-    # nine units), so the serial fallback keys on the work-unit count,
-    # not the artifact count.
-    shardable = len(names) > 1 or (
-        granularity == "series"
-        and len(names) == 1
-        and len(artifact_units(names[0], scale)) > 1
-    )
-    runs: List[ArtifactRun] = []
-    if not parallel or not shardable:
-        executed: Dict[str, float] = {}
-        for name in names:
-            if cache is None:
-                runs.append(_run_artifact((name, scale)))
-            else:
-                runs.append(
-                    _run_artifact_cached(name, scale, cache, executed)
-                )
-            if on_result is not None:
-                on_result(runs[-1])
-        _persist_recorded_walls(cache, executed)
-        return runs
-    if granularity == "artifact":
-        return _reproduce_artifact_granular(
-            names, workers, scale, on_result, cache,
-            resilience, quarantine, chaos,
-        )
-    return _reproduce_series_granular(
-        names, workers, scale, on_result, cache,
-        resilience, quarantine, chaos,
-    )
-
-
-def _run_artifact_cached(
-    name: str,
-    scale: float,
-    cache: ResultCache,
-    executed: Dict[str, float],
-) -> ArtifactRun:
-    """One artifact through the cache: load hit units, run+store misses."""
-    collected: Dict[Optional[str], Any] = {}
-    wall = 0.0
-    for _name, series in artifact_units(name, scale):
-        key = _cache_key(name, series, scale)
-        payload = cache.get(key, _CACHE_MISS)
-        if payload is _CACHE_MISS:
-            with obs.span(
-                _wall_key(name, series, scale), cat="unit",
-                context="reproduce",
-            ):
-                _n, _s, payload, unit_wall = _run_series_unit(
-                    (name, series, scale)
-                )
-            cache.put(key, payload)
-            wall += unit_wall
-            _record_wall(name, series, scale, unit_wall, executed)
-        collected[series] = payload
-    return _assemble_artifact(name, scale, collected, wall)
-
-
-#: Key namespace marker for whole-artifact payloads cached by the
-#: artifact-granular path (distinct from the series-unit key space).
-_WHOLE_ARTIFACT = "::artifact::"
-
-
-def _reproduce_artifact_granular(
-    names: List[str],
-    workers: Optional[int],
-    scale: float,
-    on_result: Optional[Callable[[ArtifactRun], None]],
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
-    chaos: Optional[ChaosPlan] = None,
-) -> List[ArtifactRun]:
-    """One artifact per work unit (the pre-sharding parallel path)."""
-    pending: List[Tuple[str, float]] = []
-    completed: Dict[str, ArtifactRun] = {}
-    for name in names:
-        if cache is not None:
-            payload = cache.get(
-                _cache_key(name, _WHOLE_ARTIFACT, scale), _CACHE_MISS
-            )
-            if payload is not _CACHE_MISS:
-                completed[name] = ArtifactRun(name, payload, 0.0)
-                continue
-        pending.append((name, scale))
-    runs: List[ArtifactRun] = []
-    emit_index = 0
-
-    def emit_ready() -> None:
-        nonlocal emit_index
-        while emit_index < len(names) and names[emit_index] in completed:
-            ready = completed.pop(names[emit_index])
-            emit_index += 1
-            runs.append(ready)
-            if on_result is not None:
-                on_result(ready)
-
-    def handle_result(_unit_id: str, run: ArtifactRun) -> None:
-        if cache is not None:
-            cache.put(
-                _cache_key(run.name, _WHOLE_ARTIFACT, scale), run.result
-            )
-        completed[run.name] = run
-        emit_ready()
-
-    def handle_quarantine(record) -> None:
-        name = record.unit_id.split(":", 1)[1]
-        completed[name] = _hole_run(name, [record.unit_id], 0.0)
-        emit_ready()
-
-    emit_ready()
-    if pending:
-        # Supervised, unordered dispatch so a straggler (fig7 dominates
-        # the full pass) never idles the pool behind canonical order;
-        # completed runs are buffered and re-emitted in canonical order
-        # as their turn comes, keeping the on_result streaming contract.
-        supervised_map(
-            _run_artifact,
-            [(f"artifact:{name}", (name, scale)) for name, _ in pending],
-            workers=min(workers or os.cpu_count() or 1, len(pending)),
-            pool_factory=shared_pool,
-            pool_shutdown=shutdown_shared_pool,
-            policy=resilience,
-            quarantine=quarantine,
-            chaos=chaos,
-            on_result=handle_result,
-            on_quarantine=handle_quarantine,
-            context="reproduce",
-        )
-    return runs
-
-
-def _reproduce_series_granular(
-    names: List[str],
-    workers: Optional[int],
-    scale: float,
-    on_result: Optional[Callable[[ArtifactRun], None]],
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
-    chaos: Optional[ChaosPlan] = None,
-    journal: Optional[RunJournal] = None,
-    inline: bool = False,
-) -> List[ArtifactRun]:
-    """Sub-artifact sharding: one (artifact, series) scenario per unit.
-
-    With a ``journal``, replayed units join their artifact before the
-    cache is even probed, every completion (cache hits included) is
-    recorded durably, and ``inline=True`` executes the remaining units
-    serially in-process — the journaled serial mode, pool-free.
-    """
     units_by_artifact = {name: artifact_units(name, scale) for name in names}
-    collected: Dict[str, Dict[Optional[str], Any]] = {n: {} for n in names}
-    walls: Dict[str, float] = {n: 0.0 for n in names}
-    remaining: Dict[str, int] = {
-        n: len(units_by_artifact[n]) for n in names
-    }
-    holes_by_artifact: Dict[str, List[str]] = {n: [] for n in names}
-    executed_walls: Dict[str, float] = {}
-    # Journal replay first, then the cache probe: hit units join their
-    # artifact immediately; only the misses are dispatched.  A fully-
-    # warm (or fully-journaled) pass therefore never touches the pool.
-    payloads: List[Tuple[str, Optional[str], float]] = []
-    for name in names:
-        for _name, series in units_by_artifact[name]:
-            unit_id = _wall_key(name, series, scale)
-            if journal is not None and journal.is_done(unit_id):
-                collected[name][series] = journal.replayed[unit_id]
-                remaining[name] -= 1
-                continue
-            if (
-                journal is not None
-                and unit_id in journal.replayed_quarantined
-            ):
-                holes_by_artifact[name].append(unit_id)
-                remaining[name] -= 1
-                continue
-            payload = (
-                _CACHE_MISS if cache is None
-                else cache.get(_cache_key(name, series, scale), _CACHE_MISS)
-            )
-            if payload is _CACHE_MISS:
-                payloads.append((name, series, scale))
-            else:
-                collected[name][series] = payload
-                remaining[name] -= 1
-                if journal is not None:
-                    journal.record_done(
-                        unit_id, payload, 0.0, executed=False
-                    )
+    plan = [
+        (name, series, scale)
+        for name in names
+        for _name, series in units_by_artifact[name]
+    ]
     # Longest-first dispatch keeps the 1500-sim-second fig7 scenarios
     # from landing last and re-creating the straggler tail the
     # decomposition exists to remove.  Costs are measured unit walls
@@ -935,123 +631,73 @@ def _reproduce_series_granular(
     # cache), the calibrated simulated-seconds estimate otherwise.  The
     # sort is deterministic (cost, then canonical order) and cannot
     # affect results, only wall time.
-    costs = _dispatch_costs(payloads, units_by_artifact, scale)
+    costs = _dispatch_costs(plan, units_by_artifact, scale)
     order = {name: i for i, name in enumerate(names)}
-    payloads.sort(
-        key=lambda p: (-costs[(p[0], p[1])], order[p[0]])
-    )
+    plan.sort(key=lambda p: (-costs[(p[0], p[1])], order[p[0]]))
+
+    collected: Dict[str, Dict[Optional[str], Any]] = {n: {} for n in names}
+    walls: Dict[str, float] = {n: 0.0 for n in names}
+    remaining = {n: len(units_by_artifact[n]) for n in names}
+    holes_by_artifact: Dict[str, List[str]] = {n: [] for n in names}
+    executed_walls: Dict[str, float] = {}
     assembled: Dict[str, ArtifactRun] = {}
     runs: List[ArtifactRun] = []
-    emit_index = 0
 
-    def finish_artifact(name: str) -> None:
-        holes = holes_by_artifact[name]
-        if holes:
+    def settle(name: str) -> None:
+        """One more unit of ``name`` is in; assemble and stream when
+        it was the last (runs stream out in canonical order)."""
+        remaining[name] -= 1
+        if remaining[name] > 0:
+            return
+        if holes_by_artifact[name]:
             # At least one unit was poisoned: the artifact cannot be
             # assembled.  Degrade to an explicit partial instead of
             # dying (DESIGN.md §11).
-            collected.pop(name, None)
-            assembled[name] = _hole_run(name, holes, walls[name])
+            assembled[name] = _hole_run(
+                name, holes_by_artifact[name], walls[name]
+            )
         else:
             assembled[name] = _assemble_artifact(
                 name, scale, collected.pop(name), walls[name]
             )
-
-    def emit_ready() -> None:
-        nonlocal emit_index
-        while emit_index < len(names) and names[emit_index] in assembled:
-            ready = assembled.pop(names[emit_index])
-            emit_index += 1
-            runs.append(ready)
+        while len(runs) < len(names) and names[len(runs)] in assembled:
+            runs.append(assembled.pop(names[len(runs)]))
             if on_result is not None:
-                on_result(ready)
+                on_result(runs[-1])
 
-    for name in names:  # artifacts fully served from cache
-        if remaining[name] == 0:
-            finish_artifact(name)
-    emit_ready()
-    if payloads:
-
-        def handle_result(
-            unit_id: str,
-            unit_result: Tuple[str, Optional[str], Any, float],
-        ) -> None:
-            name, series, payload, wall = unit_result
-            if cache is not None:
-                cache.put(_cache_key(name, series, scale), payload)
-            if journal is not None:
-                # After the cache write: a kill between the two leaves
-                # a cached-but-unjournaled unit, which a resume simply
-                # re-loads from the cache (never re-executes twice).
-                journal.record_done(unit_id, payload, wall)
-            _record_wall(name, series, scale, wall, executed_walls)
-            collected[name][series] = payload
+    def unit_done(unit: Unit, payload: Any, wall: Optional[float]) -> None:
+        name, series, _scale = unit.payload
+        if wall is not None:
+            _unit_timings.observe(unit.id, wall)
+            executed_walls[unit.id] = wall
             walls[name] += wall
-            remaining[name] -= 1
-            if remaining[name] == 0:
-                finish_artifact(name)
-            emit_ready()
+        collected[name][series] = payload
+        settle(name)
 
-        unit_coords = {
-            _wall_key(name, series, scale): name
-            for name, series, _scale in payloads
-        }
+    def unit_hole(unit: Unit) -> None:
+        holes_by_artifact[unit.payload[0]].append(unit.id)
+        settle(unit.payload[0])
 
-        def handle_quarantine(record) -> None:
-            if journal is not None:
-                journal.record_quarantined(record.unit_id, record.kind)
-            name = unit_coords[record.unit_id]
-            holes_by_artifact[name].append(record.unit_id)
-            remaining[name] -= 1
-            if remaining[name] == 0:
-                finish_artifact(name)
-            emit_ready()
-
-        try:
-            if inline:
-                for name, series, _scale in payloads:
-                    unit_id = _wall_key(name, series, scale)
-                    if journal is not None:
-                        journal.record_dispatched(unit_id, 0)
-                    with obs.span(
-                        unit_id, cat="unit", context="reproduce"
-                    ):
-                        unit_result = _run_series_unit(
-                            (name, series, scale)
-                        )
-                    handle_result(unit_id, unit_result)
-            else:
-                supervised_map(
-                    _run_series_unit,
-                    [
-                        (
-                            _wall_key(name, series, scale),
-                            (name, series, scale),
-                        )
-                        for name, series, _scale in payloads
-                    ],
-                    workers=min(
-                        workers or os.cpu_count() or 1, len(payloads)
-                    ),
-                    pool_factory=shared_pool,
-                    pool_shutdown=shutdown_shared_pool,
-                    policy=resilience,
-                    quarantine=quarantine,
-                    chaos=chaos,
-                    on_dispatch=(
-                        journal.record_dispatched
-                        if journal is not None else None
-                    ),
-                    on_result=handle_result,
-                    on_quarantine=handle_quarantine,
-                    context="reproduce",
-                )
-        except BaseException:
-            # Completed units are already cached; keep their walls too
-            # (supervised_map has already reset the shared pool).
-            _persist_recorded_walls(cache, executed_walls)
-            raise
-    _persist_recorded_walls(cache, executed_walls)
-    if journal is not None:
-        journal.seal(runs_digest(runs))
+    try:
+        run_units(
+            [
+                Unit(_wall_key(*coords), coords, _cache_key(*coords))
+                for coords in plan
+            ],
+            _run_series_unit,
+            workers=(workers or os.cpu_count() or 1) if parallel else 1,
+            journal=journal,
+            cache=cache,
+            policy=resilience,
+            quarantine=quarantine,
+            chaos=chaos,
+            context="reproduce",
+            on_result=unit_done,
+            on_hole=unit_hole,
+        )
+    finally:
+        # Completed units are cached (or journaled) even when the pass
+        # dies: keep their walls too.
+        _persist_recorded_walls(cache, executed_walls)
+    journal.seal(runs_digest(runs))
     return runs

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.config import FleetConfig, NodeSpec
 from repro.fleet.node import FleetNode, NodeResult
 
@@ -50,10 +49,6 @@ class FleetScenario:
         if node_ids is None:
             node_ids = range(self.config.n_nodes)
         return [self.build_node(i).run() for i in node_ids]
-
-    def run_fleet(self) -> FleetAggregate:
-        """Simulate every node serially and aggregate."""
-        return FleetAggregate.from_results(self.run())
 
     def _in_blast_radius(self, spec: NodeSpec) -> bool:
         assert self.config.fault is not None

@@ -17,32 +17,47 @@ Unit identities must match the pipeline's own ids bit-for-bit:
 * reproduce: ``artifact/series@scale`` unit keys
   (:func:`repro.experiments.driver._wall_key`);
 * sweep: :meth:`SweepUnit.unit_id` in canonical expansion order.
+
+The last section is the one kind -> pipeline dispatch every caller that
+starts a pipeline from a payload goes through: ``repro runs resume``,
+``repro serve`` jobs, and the crash harnesses' uninterrupted baselines
+and resumes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache import ResultCache
 from repro.experiments.driver import (
     ARTIFACTS,
     FleetDriver,
     artifact_units,
+    reproduce_all,
+    runs_digest,
     _wall_key,
 )
 from repro.fleet.config import FaultPlan, FleetConfig
+from repro.journal.registry import RunInfo
 from repro.journal.run import RunJournal, open_run
+from repro.obs import run_tracing
+from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import CampaignSpec
 
 __all__ = [
     "fleet_config_from_payload",
     "fleet_payload",
     "open_fleet_journal",
+    "open_journal",
     "open_reproduce_journal",
     "open_sweep_journal",
     "reproduce_payload",
     "reproduce_selection_from_payload",
+    "resume_pipeline",
+    "run_pipeline",
     "spec_from_payload",
     "sweep_payload",
+    "uninterrupted_digest",
 ]
 
 
@@ -107,19 +122,15 @@ def open_fleet_journal(
     rather than re-deriving chunks from the current worker count.
     """
     driver = FleetDriver(config, workers=workers)
-    chunks = driver.chunks()
-    unit_ids: List[str] = []
-    plan_chunks: Dict[str, List[int]] = {}
-    for index, chunk in enumerate(chunks):
-        unit_id = f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})"
-        unit_ids.append(unit_id)
-        plan_chunks[unit_id] = list(chunk)
+    chunks = {
+        unit_id: list(chunk) for unit_id, chunk in driver.plan().items()
+    }
     return open_run(
         cache_root,
         kind="fleet",
         config=fleet_payload(config),
-        plan={"chunks": plan_chunks, "workers": driver.workers},
-        units=unit_ids,
+        plan={"chunks": chunks, "workers": driver.workers},
+        units=list(chunks),
         resume=resume,
         run_id=run_id,
         verify_units=False,
@@ -133,11 +144,7 @@ def open_fleet_journal(
 def reproduce_payload(
     names: Sequence[str], scale: float
 ) -> Dict[str, Any]:
-    return {
-        "artifacts": list(names),
-        "scale": float(scale),
-        "granularity": "series",
-    }
+    return {"artifacts": list(names), "scale": float(scale)}
 
 
 def reproduce_selection_from_payload(
@@ -225,3 +232,112 @@ def open_sweep_journal(
         run_id=run_id,
         lease_ttl_s=lease_ttl_s,
     )
+
+
+# -- one kind -> pipeline dispatch -------------------------------------------
+
+
+def open_journal(
+    cache_root: str,
+    kind: str,
+    payload: Dict[str, Any],
+    workers: int = 1,
+    *,
+    resume: bool = False,
+    run_id: Optional[str] = None,
+) -> RunJournal:
+    """Open (or, with ``resume``, adopt) a ``kind`` run's journal from
+    its config payload — the manifest's ``config`` is one."""
+    if kind == "fleet":
+        return open_fleet_journal(
+            cache_root, fleet_config_from_payload(payload), workers,
+            resume=resume, run_id=run_id,
+        )
+    if kind == "reproduce":
+        names, scale = reproduce_selection_from_payload(payload)
+        return open_reproduce_journal(
+            cache_root, names, scale, resume=resume, run_id=run_id
+        )
+    if kind == "sweep":
+        return open_sweep_journal(
+            cache_root, spec_from_payload(payload),
+            resume=resume, run_id=run_id,
+        )
+    raise ValueError(f"unknown run kind {kind!r}")
+
+
+def run_pipeline(
+    kind: str,
+    payload: Dict[str, Any],
+    *,
+    workers: int = 1,
+    cache: Optional[ResultCache] = None,
+    journal: Any = None,
+) -> Any:
+    """Run the ``kind`` pipeline a config payload describes.
+
+    Returns the pipeline's own result: a
+    :class:`~repro.fleet.aggregate.FleetAggregate`, the list of
+    :class:`~repro.experiments.driver.ArtifactRun`, or a
+    :class:`~repro.sweep.safety.CampaignReport`.  ``journal`` may be any
+    journal-shaped object (``repro serve`` passes its event tap); the
+    fleet pipeline never caches, so ``cache`` reaches only the others.
+    """
+    if kind == "fleet":
+        return FleetDriver(
+            fleet_config_from_payload(payload), workers=workers,
+            journal=journal,
+        ).run()
+    if kind == "reproduce":
+        names, scale = reproduce_selection_from_payload(payload)
+        return reproduce_all(
+            parallel=workers > 1, workers=workers, scale=scale,
+            only=names, cache=cache, journal=journal,
+        )
+    if kind == "sweep":
+        return SweepRunner(
+            spec_from_payload(payload), workers=workers, cache=cache,
+            journal=journal,
+        ).run()
+    raise ValueError(f"unknown run kind {kind!r}")
+
+
+def uninterrupted_digest(
+    kind: str, payload: Dict[str, Any], workers: int = 1
+) -> str:
+    """The digest a run seals when nothing interrupts it (no journal,
+    no cache) — the crash harnesses' ground truth."""
+    result = run_pipeline(kind, payload, workers=workers)
+    return runs_digest(result) if kind == "reproduce" else result.digest()
+
+
+def resume_pipeline(
+    cache_root: str,
+    info: RunInfo,
+    *,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    trace: bool = True,
+) -> Tuple[RunJournal, Any]:
+    """Finish a journaled run from its manifest alone, and seal it.
+
+    ``workers`` defaults to the manifest plan's (fleet), else 1.  The
+    resumed process appends its own segment to the run's telemetry
+    sidecar (DESIGN.md §14).  Returns the closed journal and the
+    pipeline's result.
+    """
+    payload = info.manifest["config"]
+    if workers is None:
+        workers = int(info.manifest.get("plan", {}).get("workers", 1))
+    with open_journal(
+        cache_root, info.kind, payload, workers,
+        resume=True, run_id=info.run_id,
+    ) as journal:
+        with run_tracing(
+            journal, enabled_=trace, kind=info.kind, resumed=True
+        ):
+            result = run_pipeline(
+                info.kind, payload, workers=workers, cache=cache,
+                journal=journal,
+            )
+    return journal, result

@@ -42,13 +42,21 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cache.keys import code_salt, _canonical
 from repro.journal.lease import Lease, LeaseLostError
 from repro.journal.log import RecordLog
 
-__all__ = ["RunJournal", "RunStats", "derive_run_id", "open_run", "runs_root"]
+__all__ = [
+    "NullJournal",
+    "RunJournal",
+    "RunStats",
+    "derive_run_id",
+    "open_run",
+    "runs_root",
+]
 
 
 def runs_root(cache_root: str) -> str:
@@ -267,6 +275,40 @@ class RunJournal:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class NullJournal:
+    """The ledger of an un-journaled run: replays nothing, records nothing.
+
+    Every pipeline runs through the unit engine with *some* journal
+    (:mod:`repro.resilience.engine`); a run without a ledger passes this
+    one, so it takes the journaled code path rather than a second one.
+    """
+
+    manifest: Mapping[str, Any] = MappingProxyType({})
+    replayed: Mapping[str, Any] = MappingProxyType({})
+    replayed_quarantined: Tuple[str, ...] = ()
+
+    def is_done(self, unit_id: str) -> bool:
+        return False
+
+    def record_dispatched(self, unit_id: str, attempt: int) -> None:
+        pass
+
+    def record_done(
+        self,
+        unit_id: str,
+        payload: Any,
+        wall_s: float,
+        executed: bool = True,
+    ) -> None:
+        pass
+
+    def record_quarantined(self, unit_id: str, fault_kind: str) -> None:
+        pass
+
+    def seal(self, digest: str) -> None:
+        pass
 
 
 def _replay_into(journal: RunJournal) -> None:

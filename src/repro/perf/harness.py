@@ -245,9 +245,9 @@ def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
         unit_walls[name] = []
         collected[name] = {}
         for _name, series in artifact_units(name, scale=1.0):
-            _n, key, payload, wall = _run_series_unit((name, series, 1.0))
-            unit_walls[name].append(wall)
-            collected[name][key] = payload
+            unit_started = time.perf_counter()
+            collected[name][series] = _run_series_unit((name, series, 1.0))
+            unit_walls[name].append(time.perf_counter() - unit_started)
     from repro.experiments.driver import _assemble_artifact
 
     for name in ARTIFACTS:
@@ -270,7 +270,6 @@ def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
         workers=2,
         only=list(GOLDEN_EXPERIMENT_DIGESTS),
         scale=GOLDEN_EXPERIMENT_SCALE,
-        granularity="series",
     )
     golden_ok = all(
         experiment_digest(run.result) == GOLDEN_EXPERIMENT_DIGESTS[run.name]

@@ -11,6 +11,9 @@ proves it under injected faults.  This package supplies that layer:
   deterministic seeded jitter;
 * :mod:`~repro.resilience.supervisor` — the dispatch loop: retries,
   poison-unit quarantine, explicit holes instead of dying;
+* :mod:`~repro.resilience.engine` — the unit engine every pipeline runs
+  through: journal replay, cache probe, inline or supervised execution
+  and the persistence ordering around them;
 * :mod:`~repro.resilience.quarantine` — persisted quarantine records;
 * :mod:`~repro.resilience.chaos` — seeded fault injection
   (crash / hang / slow workers, corrupted cache writes) and the

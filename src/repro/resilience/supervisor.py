@@ -1,8 +1,9 @@
 """The supervised dispatcher: retries, backoff, quarantine, holes.
 
 :func:`supervised_map` is the one dispatch loop every parallel path in
-the repo now runs through (fleet chunks, reproduce-all units, sweep
-cells — DESIGN.md §11).  Contract:
+the repo runs through (fleet chunks, reproduce-all units, sweep cells —
+DESIGN.md §11), reached via the unit engine
+(:func:`repro.resilience.engine.run_units`).  Contract:
 
 * every unit is a pure function of its payload, so a retry can never
   change a result bit — only the *set* of completed units can vary;

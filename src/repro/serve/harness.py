@@ -35,28 +35,29 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["run_kill_server_harness"]
+__all__ = ["job_config", "run_kill_server_harness"]
 
 SERVER_DEATH_TIMEOUT_S = 600.0
 JOB_TIMEOUT_S = 600.0
 
 
-def _job_config(args: argparse.Namespace) -> Dict[str, Any]:
-    """The submission config payload for the harness job."""
+def job_config(kind: str, args: argparse.Namespace) -> Dict[str, Any]:
+    """The config payload of a chaos-harness ``kind`` job (the same
+    payload its journal hashes and a ``submit`` carries)."""
     from repro.journal.pipelines import (
         fleet_payload,
         reproduce_payload,
         sweep_payload,
     )
 
-    if args.job == "fleet":
+    if kind == "fleet":
         from repro.fleet.config import FleetConfig
 
         return fleet_payload(FleetConfig(
             n_nodes=args.nodes, agent=args.agent, seed=args.seed,
             duration_s=args.seconds,
         ))
-    if args.job == "reproduce":
+    if kind == "reproduce":
         from repro.experiments.driver import ARTIFACTS
 
         names = list(args.only) if args.only else list(ARTIFACTS)
@@ -64,29 +65,6 @@ def _job_config(args: argparse.Namespace) -> Dict[str, Any]:
     from repro.sweep import load_spec
 
     return sweep_payload(load_spec(args.spec))
-
-
-def _baseline_digest(args: argparse.Namespace) -> str:
-    """The uninterrupted digest, computed in this process."""
-    if args.job == "fleet":
-        from repro.experiments.driver import FleetDriver
-        from repro.fleet.config import FleetConfig
-
-        config = FleetConfig(
-            n_nodes=args.nodes, agent=args.agent, seed=args.seed,
-            duration_s=args.seconds,
-        )
-        return FleetDriver(config, workers=args.workers).run().digest()
-    if args.job == "reproduce":
-        from repro.experiments.driver import reproduce_all, runs_digest
-
-        runs = reproduce_all(
-            scale=args.scale, only=args.only, granularity="series"
-        )
-        return runs_digest(runs)
-    from repro.sweep import SweepRunner, load_spec
-
-    return SweepRunner(load_spec(args.spec)).run().digest()
 
 
 def _server_command(
@@ -172,8 +150,10 @@ def _phase_kill_resume(
     from repro.journal.registry import inspect_run
     from repro.serve.client import ServeClient, wait_for_server
 
-    config = _job_config(args)
-    baseline = _baseline_digest(args)
+    from repro.journal.pipelines import uninterrupted_digest
+
+    config = job_config(args.job, args)
+    baseline = uninterrupted_digest(args.job, config, args.workers)
     print(f"[baseline: digest {baseline}]")
 
     socket_path = os.path.join(root, "serve.sock")

@@ -297,67 +297,17 @@ def execute_job(
         DispatchCancelled: the job was cancelled (journal resumable).
         Exception: whatever the pipeline raised (job failed).
     """
-    from functools import partial
-
     from repro.cache import ResultCache
-    from repro.journal.pipelines import (
-        fleet_config_from_payload,
-        open_fleet_journal,
-        open_reproduce_journal,
-        open_sweep_journal,
-        reproduce_selection_from_payload,
-        spec_from_payload,
-    )
+    from repro.journal.pipelines import open_journal, run_pipeline
 
     set_cancel_token(job.cancel)
     journal: Optional[RunJournal] = None
-    cache: Optional[ResultCache] = None
     try:
-        if job.kind == "fleet":
-            from repro.experiments.driver import FleetDriver
-
-            config = fleet_config_from_payload(job.payload)
-            journal = open_fleet_journal(
-                cache_root, config, job.workers,
-                resume=True, run_id=job.run_id,
-            )
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = FleetDriver(
-                config, workers=job.workers, journal=tap
-            ).run
-        elif job.kind == "reproduce":
-            from repro.experiments.driver import reproduce_all
-
-            names, scale = reproduce_selection_from_payload(job.payload)
-            journal = open_reproduce_journal(
-                cache_root, names, scale,
-                resume=True, run_id=job.run_id,
-            )
-            cache = ResultCache(cache_root)
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = partial(
-                reproduce_all,
-                parallel=job.workers > 1,
-                workers=job.workers,
-                scale=scale,
-                only=names,
-                cache=cache,
-                journal=tap,
-            )
-        elif job.kind == "sweep":
-            from repro.sweep import SweepRunner
-
-            spec = spec_from_payload(job.payload)
-            journal = open_sweep_journal(
-                cache_root, spec, resume=True, run_id=job.run_id
-            )
-            cache = ResultCache(cache_root)
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = SweepRunner(
-                spec, workers=job.workers, cache=cache, journal=tap
-            ).run
-        else:  # pragma: no cover — admission validates kinds
-            raise ValueError(f"unknown job kind {job.kind!r}")
+        journal = open_journal(
+            cache_root, job.kind, job.payload, job.workers,
+            resume=True, run_id=job.run_id,
+        )
+        cache = ResultCache(cache_root)
         emit(
             "started",
             run_id=journal.run_id,
@@ -377,7 +327,10 @@ def execute_job(
             adopted=job.adopted,
             queue_wait_s=round(queue_wait_s, 6),
         ):
-            run_pipeline()
+            run_pipeline(
+                job.kind, job.payload, workers=job.workers, cache=cache,
+                journal=JournalTap(journal, job, emit),
+            )
         stats = journal.stats
         return {
             "digest": journal.sealed_digest,
@@ -388,9 +341,7 @@ def execute_job(
                 "quarantined": stats.quarantined,
                 "total": len(journal.units),
             },
-            "cache": (
-                cache.stats.snapshot() if cache is not None else {}
-            ),
+            "cache": cache.stats.snapshot(),
         }
     finally:
         set_cancel_token(None)

@@ -255,21 +255,6 @@ def test_parallel_cold_pass_stores_and_matches_serial(tmp_path):
     assert _digests(serial) == _digests(parallel)
 
 
-def test_artifact_granularity_caches_whole_artifacts(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cold = reproduce_all(
-        only=["table1", "table2"], scale=SCALE, parallel=True, workers=2,
-        granularity="artifact", cache=cache,
-    )
-    warm_cache = ResultCache(str(tmp_path))
-    warm = reproduce_all(
-        only=["table1", "table2"], scale=SCALE, parallel=True, workers=2,
-        granularity="artifact", cache=warm_cache,
-    )
-    assert warm_cache.stats.misses == 0
-    assert _digests(cold) == _digests(warm)
-
-
 def test_code_salt_change_invalidates(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path))
     reproduce_all(only=["table1"], scale=SCALE, cache=cache)

@@ -9,8 +9,6 @@ the golden pinned artifacts must keep their seed digests through the
 sharded path.
 """
 
-import pytest
-
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import (
     ARTIFACT_SPECS,
@@ -62,7 +60,6 @@ def test_sharded_golden_artifacts_keep_seed_digests():
         workers=2,
         only=list(GOLDEN_EXPERIMENT_DIGESTS),
         scale=GOLDEN_EXPERIMENT_SCALE,
-        granularity="series",
     )
     got = {run.name: experiment_digest(run.result) for run in runs}
     assert got == GOLDEN_EXPERIMENT_DIGESTS
@@ -74,7 +71,6 @@ def test_fig7_sharded_equals_serial():
     serial = reproduce_all(only=["fig7"], scale=0.25)
     parallel = reproduce_all(
         parallel=True, workers=3, only=["fig7"], scale=0.25,
-        granularity="series",
     )
     assert _rows(serial) == _rows(parallel)
 
@@ -85,26 +81,8 @@ def test_fig2_sharded_equals_serial():
     serial = reproduce_all(only=["fig2"], scale=0.1)
     parallel = reproduce_all(
         parallel=True, workers=4, only=["fig2"], scale=0.1,
-        granularity="series",
     )
     assert _rows(serial) == _rows(parallel)
-
-
-def test_artifact_granularity_still_matches_serial():
-    """The pre-sharding parallel path remains available as the bench
-    baseline and still reproduces serial rows."""
-    only = ["table1", "table2"]
-    serial = reproduce_all(only=only, scale=0.2)
-    parallel = reproduce_all(
-        parallel=True, workers=2, only=only, scale=0.2,
-        granularity="artifact",
-    )
-    assert _rows(serial) == _rows(parallel)
-
-
-def test_unknown_granularity_rejected():
-    with pytest.raises(ValueError):
-        reproduce_all(parallel=True, granularity="node")
 
 
 def test_streaming_stays_canonical_under_series_sharding():
@@ -112,7 +90,6 @@ def test_streaming_stays_canonical_under_series_sharding():
     seen = []
     runs = reproduce_all(
         parallel=True, workers=3, only=only, scale=0.1,
-        granularity="series",
         on_result=lambda run: seen.append(run.name),
     )
     assert [run.name for run in runs] == only

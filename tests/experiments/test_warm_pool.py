@@ -9,6 +9,7 @@ from repro.experiments.driver import (
     shared_pool,
     shutdown_shared_pool,
 )
+from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.config import FleetConfig
 from repro.fleet.scenario import FleetScenario
 
@@ -55,7 +56,7 @@ def test_fleet_driver_reuses_warm_pool_and_matches_serial():
 def test_single_chunk_runs_inline_without_pool(monkeypatch):
     """A one-chunk work list must not spawn (or borrow) a pool."""
     config = FleetConfig(n_nodes=4, agent="overclock", seed=7, duration_s=10)
-    expected = FleetScenario(config).run_fleet()
+    expected = FleetAggregate.from_results(FleetScenario(config).run())
     fleet_driver = FleetDriver(config, workers=2)
     all_nodes = tuple(range(config.n_nodes))
     monkeypatch.setattr(

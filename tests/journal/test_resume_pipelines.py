@@ -120,16 +120,6 @@ def test_reproduce_interrupt_resume_bit_identical(tmp_path, kill_after,
     assert resumed.stats.executed == 1
 
 
-def test_reproduce_journal_requires_series_granularity(tmp_path):
-    with open_reproduce_journal(
-        str(tmp_path), ["table1"], 1.0
-    ) as journal:
-        with pytest.raises(ValueError):
-            reproduce_all(
-                only=["table1"], granularity="artifact", journal=journal
-            )
-
-
 def test_sweep_interrupt_resume_bit_identical(tmp_path, kill_after,
                                               monkeypatch):
     root = str(tmp_path)

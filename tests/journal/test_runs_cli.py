@@ -132,6 +132,23 @@ def test_runs_resume_finishes_interrupted_sweep(capsys, spec_path,
     assert after.status == "sealed"
 
 
+def test_runs_show_and_resume_accept_latest(capsys, spec_path, cache_dir,
+                                            monkeypatch):
+    assert main(["runs", "show", "latest", "--cache-dir", cache_dir]) == 1
+    assert "no journaled run 'latest'" in capsys.readouterr().out
+    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch)
+    assert main(
+        ["runs", "show", "latest", "--timing", "--cache-dir", cache_dir]
+    ) == 0
+    shown = capsys.readouterr().out
+    assert f"run {run_id} (sweep) — interrupted" in shown
+    assert "per-unit timing" in shown
+    assert main(["runs", "resume", "latest", "--cache-dir", cache_dir]) == 0
+    assert "replayed=1 executed=1" in capsys.readouterr().out
+    (after,) = list_runs(cache_dir)
+    assert after.run_id == run_id and after.status == "sealed"
+
+
 def test_sweep_resume_flag_finishes_interrupted_run(capsys, spec_path,
                                                     cache_dir,
                                                     monkeypatch):
