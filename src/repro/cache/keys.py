@@ -11,9 +11,9 @@ A unit's key digests everything its payload can depend on:
   the bits depend on (Python version, numpy version, machine
   architecture — RNG internals and reduction kernels can change across
   any of them).  Editing the kernel, a workload, an agent, or an
-  experiment invalidates every cached row; editing the CLI, the perf
-  harness (frozen copies included), the resilience layer, or this
-  cache package does not.
+  experiment invalidates every cached row; editing the CLI, the chaos
+  harness, the perf harness (frozen copies included), the resilience
+  layer, or this cache package does not.
 
 Keys are hex SHA-256, so the store is content-addressed in the usual
 two-level fan-out layout (``objects/ab/abcdef....pkl``).
@@ -40,11 +40,12 @@ __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 #: argument — replayed payloads were produced by the salted code),
 #: ``obs`` only observes (spans and metrics are strictly out-of-band;
 #: DESIGN.md §14 — an instrumentation edit must not invalidate every
-#: cached row), and the CLI only orchestrates.
+#: cached row), and the CLI and the ``repro chaos`` harness only
+#: orchestrate.
 _SALT_EXCLUDED_DIRS = frozenset(
     {"cache", "journal", "obs", "perf", "resilience", "__pycache__"}
 )
-_SALT_EXCLUDED_FILES = frozenset({"cli.py"})
+_SALT_EXCLUDED_FILES = frozenset({"chaos.py", "cli.py"})
 
 _code_salt_cache: Optional[str] = None
 

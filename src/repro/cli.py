@@ -11,6 +11,7 @@ Subcommands::
     repro sweep run SPEC.toml [--workers 8] [--no-cache]
     repro sweep show SPEC.toml      # expanded grid, nothing executed
     repro sweep list [DIR]          # committed campaign specs
+    repro chaos fleet|reproduce|sweep [--kill-parent N | --kill-server N]
     repro bench [--suite kernel|ml|workloads|all] [--quick]
                 [--output PATH] [--check-against PATH]
     repro bench --compare NEW.json BASELINE.json
@@ -36,10 +37,10 @@ Every pooled path dispatches through the supervised execution substrate
 (``repro.resilience``, DESIGN.md §11): worker crashes are retried with
 deterministic backoff, repeat offenders are quarantined as explicit
 holes, and ``--max-retries`` / ``--unit-timeout`` tune the policy.
-``repro chaos`` turns the substrate on itself: it runs a target twice —
-fault-free, then under an injected worker-fault plan — and verifies
-that the faulted run either reproduces the fault-free digests
-bit-identically or reports the exact quarantined units.
+``repro chaos`` turns the substrate on itself (:mod:`repro.chaos`):
+worker faults, orchestrator SIGKILL (``--kill-parent``) or server
+SIGKILL (``--kill-server``) against any of the three pipelines, each
+with a pass/fail verdict.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import time
 from typing import List, Optional
 
 from repro.cache import ResultCache, default_cache_dir
+from repro.chaos import add_chaos_parser, cmd_chaos
 from repro.conformance.cli import add_conformance_parser, cmd_conformance
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import (
@@ -95,14 +97,18 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_journal_flags(parser: argparse.ArgumentParser) -> None:
-    """``--resume`` / ``--no-journal`` for the crash-consistent ledger."""
-    parser.add_argument(
+    """``--resume`` / ``--no-journal`` for the crash-consistent ledger.
+
+    The two are mutually exclusive: a resume needs the journal.
+    """
+    journal = parser.add_mutually_exclusive_group()
+    journal.add_argument(
         "--resume", action="store_true",
         help="resume this run's journal instead of starting fresh: "
              "journaled units replay, only un-journaled units execute "
              "(see 'repro runs list' for resumable runs)",
     )
-    parser.add_argument(
+    journal.add_argument(
         "--no-journal", dest="journal", action="store_false", default=True,
         help="disable the crash-consistent run journal (the run is not "
              "resumable after an orchestrator death)",
@@ -255,89 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory to scan for .toml specs (default: %(default)s)",
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="prove resilience: run a target fault-free and under an "
-             "injected worker-fault plan, then compare digests and "
-             "quarantine reports",
-    )
-    chaos.add_argument(
-        "target", choices=("fleet", "reproduce", "sweep", "serve"),
-        help="which pooled pipeline to stress ('serve' drives the "
-             "control-plane kill-server harness)",
-    )
-    chaos.add_argument(
-        "--fault", default="crash",
-        choices=("crash", "hang", "corrupt_cache", "slow"),
-        help="injected fault kind (default: %(default)s); corrupt_cache "
-             "targets the result cache and needs a cached target "
-             "(reproduce or sweep)",
-    )
-    chaos.add_argument(
-        "--probability", type=float, default=0.4,
-        help="per-unit fault selection probability, hashed from "
-             "--chaos-seed (default: %(default)s)",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="fault-selection seed; the faulted subset is a pure "
-             "function of (seed, unit id) (default: %(default)s)",
-    )
-    chaos.add_argument(
-        "--poison", action="append", default=None, metavar="UNIT_ID",
-        help="unit id that faults on every attempt (repeatable); the "
-             "run must quarantine exactly these units",
-    )
-    chaos.add_argument("--workers", type=int, default=2)
-    chaos.add_argument(
-        "--nodes", type=int, default=16, help="fleet target: node count"
-    )
-    chaos.add_argument(
-        "--agent", default="overclock", choices=AGENT_KINDS + ("mixed",),
-        help="fleet target: agent kind (default: %(default)s)",
-    )
-    chaos.add_argument(
-        "--seconds", type=int, default=60,
-        help="fleet target: simulated seconds per node",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=0, help="fleet target: fleet seed"
-    )
-    chaos.add_argument(
-        "--scale", type=float, default=0.1,
-        help="reproduce target: duration scale (default: %(default)s)",
-    )
-    chaos.add_argument(
-        "--only", nargs="+", choices=ARTIFACTS, metavar="ARTIFACT",
-        default=None, help="reproduce target: restrict the artifact set",
-    )
-    chaos.add_argument(
-        "--spec", metavar="SPEC", default=None,
-        help="sweep target: campaign spec path (required for sweep)",
-    )
-    chaos.add_argument(
-        "--kill-parent", type=int, default=None, metavar="N",
-        help="crash-consistency mode (DESIGN.md §12): run the target in "
-             "a subprocess, SIGKILL the orchestrator after its Nth "
-             "journal record, resume the run, and fail unless the "
-             "resume re-executes zero journaled units and seals with a "
-             "digest bit-identical to an uninterrupted run",
-    )
-    chaos.add_argument(
-        "--kill-server", type=int, default=None, metavar="N",
-        help="serve target (DESIGN.md §13): start a real 'repro serve' "
-             "server, submit --job over its socket, SIGKILL the server "
-             "after its Nth journal record, and fail unless a restarted "
-             "server adopts the run, re-executes zero journaled units, "
-             "and seals with the uninterrupted digest",
-    )
-    chaos.add_argument(
-        "--job", choices=("fleet", "reproduce", "sweep"),
-        default="fleet",
-        help="serve target: which job kind the kill-server harness "
-             "submits (default: %(default)s)",
-    )
-    _add_resilience_flags(chaos)
+    _add_resilience_flags(add_chaos_parser(sub))
 
     add_serve_parser(sub)
 
@@ -549,10 +473,6 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
             args.cache_dir or default_cache_dir(),
             args.only, scale, resume=args.resume,
         )
-    elif args.resume:
-        raise SystemExit(
-            "repro: error: --resume needs the journal (no --no-journal)"
-        )
     started = time.perf_counter()
     try:
         with run_tracing(
@@ -719,388 +639,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_fleet(args, plan, policy, quarantine) -> List[str]:
-    config = FleetConfig(
-        n_nodes=args.nodes, agent=args.agent, seed=args.seed,
-        duration_s=args.seconds,
-    )
-    baseline = FleetDriver(config, workers=args.workers).run()
-    print(f"[baseline: digest {baseline.digest()}]")
-    chaotic = FleetDriver(
-        config, workers=args.workers,
-        resilience=policy, quarantine=quarantine, chaos=plan,
-    ).run()
-    suffix = " PARTIAL" if chaotic.partial else ""
-    print(f"[chaos:    digest {chaotic.digest()}{suffix}]")
-    if chaotic.partial:
-        # Holes are verified against the poison set by the caller; a
-        # partial aggregate legitimately diverges from the baseline.
-        return []
-    if chaotic.digest() != baseline.digest():
-        return ["fleet digest diverged under faults with nothing "
-                "quarantined"]
-    return []
-
-
-def _chaos_reproduce(args, plan, policy, quarantine) -> List[str]:
-    def run_all(cache=None, chaos=None):
-        return reproduce_all(
-            parallel=True,
-            workers=args.workers,
-            scale=args.scale,
-            only=args.only,
-            cache=cache,
-            resilience=policy,
-            quarantine=quarantine if chaos is not None or cache else None,
-            chaos=chaos,
-        )
-
-    def digests(runs):
-        return {
-            run.result.name: experiment_digest(run.result) for run in runs
-        }
-
-    if plan.kind == "corrupt_cache":
-        return _chaos_corrupt_cache(
-            plan,
-            lambda cache: digests(run_all(cache=cache)),
-        )
-
-    base = digests(run_all())
-    print(f"[baseline: {len(base)} artifact digest(s)]")
-    failures: List[str] = []
-    for run in run_all(chaos=plan):
-        name = run.result.name
-        if run.partial:
-            print(f"[chaos: {name} PARTIAL — "
-                  f"holes: {', '.join(run.holes)}]")
-            continue
-        if experiment_digest(run.result) == base.get(name):
-            print(f"[chaos: {name} digest matches baseline]")
-        else:
-            print(f"[chaos: {name} digest DIVERGED]")
-            failures.append(f"{name}: digest diverged under faults")
-    return failures
-
-
-def _chaos_sweep(args, plan, policy, quarantine) -> List[str]:
-    from repro.sweep import SweepRunner, load_spec
-
-    try:
-        spec = load_spec(args.spec)
-    except OSError as error:
-        raise SystemExit(f"repro: error: cannot read {args.spec}: {error}")
-
-    def run_campaign(cache=None, chaos=None):
-        return SweepRunner(
-            spec,
-            workers=args.workers,
-            cache=cache,
-            resilience=policy,
-            quarantine=quarantine if chaos is not None or cache else None,
-            chaos=chaos,
-        ).run()
-
-    if plan.kind == "corrupt_cache":
-        return _chaos_corrupt_cache(
-            plan,
-            lambda cache: {"campaign": run_campaign(cache=cache).digest()},
-        )
-
-    baseline = run_campaign()
-    print(f"[baseline: digest {baseline.digest()}]")
-    report = run_campaign(chaos=plan)
-    suffix = " PARTIAL" if report.partial else ""
-    print(f"[chaos:    digest {report.digest()}{suffix}]")
-    if report.partial:
-        return []
-    if report.digest() != baseline.digest():
-        return ["campaign digest diverged under faults with nothing "
-                "quarantined"]
-    return []
-
-
-def _chaos_corrupt_cache(plan, run_with_cache) -> List[str]:
-    """Cold run through a write-corrupting cache, then a warm rerun
-    through a plain cache on the same directory: every corrupt object
-    must be quarantined (never trusted) and the warm digests must still
-    match the cold ones bit-for-bit.
-    """
-    import shutil
-    import tempfile
-
-    from repro.resilience import ChaosCache
-
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-cache-")
-    try:
-        cold_cache = ChaosCache(directory=tmp, plan=plan)
-        cold = run_with_cache(cold_cache)
-        corrupted = len(cold_cache.corrupted_keys)
-        print(f"[chaos: corrupted {corrupted} cache object(s) on disk]")
-        warm_cache = ResultCache(tmp)
-        warm = run_with_cache(warm_cache)
-        print(f"[chaos: warm rerun quarantined "
-              f"{warm_cache.stats.corrupt} corrupt object(s); "
-              f"{warm_cache.stats.render()}]")
-        failures: List[str] = []
-        if corrupted == 0:
-            print("[chaos: WARNING — no cache writes selected; raise "
-                  "--probability for a meaningful run]")
-        if warm_cache.stats.corrupt != corrupted:
-            failures.append(
-                f"corrupted {corrupted} object(s) but the warm rerun "
-                f"quarantined {warm_cache.stats.corrupt}"
-            )
-        for name in sorted(cold):
-            if warm.get(name) != cold[name]:
-                failures.append(
-                    f"{name}: warm digest diverged after cache corruption"
-                )
-        if not failures:
-            print(f"[chaos: {len(cold)} digest(s) reproduced through "
-                  f"corruption + quarantine]")
-        return failures
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _kill_parent_command(args: argparse.Namespace) -> List[str]:
-    """The journaled CLI invocation the kill-parent harness interrupts."""
-    if args.target == "fleet":
-        return [
-            "fleet", "--nodes", str(args.nodes), "--agent", args.agent,
-            "--seconds", str(args.seconds), "--seed", str(args.seed),
-            "--workers", str(args.workers),
-        ]
-    if args.target == "reproduce":
-        command = [
-            "reproduce-all", "--parallel",
-            "--workers", str(args.workers), "--scale", str(args.scale),
-        ]
-        if args.only:
-            command += ["--only", *args.only]
-        return command
-    return ["sweep", "run", args.spec, "--workers", str(args.workers)]
-
-
-def _chaos_kill_parent(args: argparse.Namespace) -> int:
-    """Crash-consistency proof (DESIGN.md §12): SIGKILL the orchestrator
-    mid-run in a subprocess, resume from the journal, and require (a)
-    zero journaled units re-executed and (b) a sealed digest that is
-    bit-identical to an uninterrupted run's.
-    """
-    import shutil
-    import subprocess
-    import tempfile
-
-    from repro.journal.log import KILL_AFTER_ENV
-    from repro.journal.pipelines import resume_pipeline, uninterrupted_digest
-    from repro.journal.registry import list_runs
-    from repro.serve.harness import job_config
-
-    print(f"== chaos {args.target}: kill-parent after record "
-          f"#{args.kill_parent} ==")
-    baseline = uninterrupted_digest(
-        args.target, job_config(args.target, args), args.workers
-    )
-    print(f"[baseline: digest {baseline}]")
-    root = tempfile.mkdtemp(prefix="repro-kill-parent-")
-    failures: List[str] = []
-    try:
-        env = dict(os.environ)
-        env["REPRO_CACHE_DIR"] = root
-        env[KILL_AFTER_ENV] = str(args.kill_parent)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        command = [sys.executable, "-m", "repro"]
-        command += _kill_parent_command(args)
-        # Output goes to files, not pipes: the orchestrator's pool
-        # workers inherit its stdio, and a captured pipe would make the
-        # harness wait on the orphans instead of just the SIGKILLed
-        # orchestrator itself.
-        out_path = os.path.join(root, "orchestrator.out")
-        err_path = os.path.join(root, "orchestrator.err")
-        with open(out_path, "wb") as out, open(err_path, "wb") as err:
-            proc = subprocess.run(
-                command, env=env, stdout=out, stderr=err, timeout=600,
-            )
-        if proc.returncode == 0:
-            failures.append(
-                f"run completed before record #{args.kill_parent}; "
-                f"lower --kill-parent"
-            )
-            return _kill_parent_verdict(failures)
-        if proc.returncode != -signal.SIGKILL:
-            with open(err_path, "r", encoding="utf-8") as handle:
-                tail = handle.read().strip().splitlines()[-5:]
-            failures.append(
-                f"orchestrator exited {proc.returncode}, expected "
-                f"SIGKILL: {' | '.join(tail)}"
-            )
-            return _kill_parent_verdict(failures)
-        runs = list_runs(root)
-        if len(runs) != 1:
-            failures.append(
-                f"expected exactly one journaled run, found {len(runs)}"
-            )
-            return _kill_parent_verdict(failures)
-        info = runs[0]
-        print(f"[killed: run {info.run_id} — {info.done_units}/"
-              f"{info.total_units} units journaled, {info.status}]")
-        if info.status == "sealed":
-            failures.append("run sealed before the kill landed; "
-                            "lower --kill-parent")
-            return _kill_parent_verdict(failures)
-        # The resume appends a second process segment to the trace
-        # sidecar the killed orchestrator started (DESIGN.md §14).
-        journal, _result = resume_pipeline(
-            root, info, workers=args.workers, cache=ResultCache(root)
-        )
-        stats = journal.stats
-        re_executed = info.done_units - stats.replayed
-        print(
-            f"[resumed: units={info.total_units} "
-            f"journaled={info.done_units} replayed={stats.replayed} "
-            f"executed={stats.executed} cached={stats.cached} "
-            f"re-executed={max(re_executed, 0)}]"
-        )
-        if re_executed > 0:
-            failures.append(
-                f"resume re-executed {re_executed} journaled unit(s)"
-            )
-        if not journal.sealed:
-            failures.append("resumed run did not seal")
-        elif journal.sealed_digest != baseline:
-            failures.append(
-                f"resumed digest {journal.sealed_digest} != "
-                f"uninterrupted digest {baseline}"
-            )
-        else:
-            print(f"[resumed: digest {journal.sealed_digest} matches "
-                  f"uninterrupted run]")
-        # Observability across the kill (DESIGN.md §14): the killed
-        # process wrote trace segment 0, the resume appended segment 1;
-        # the merged sidecar must export a valid Chrome trace.
-        from repro.obs.export import chrome_trace
-        from repro.obs.sidecar import read_trace, segments, trace_path
-
-        trace_records = read_trace(trace_path(info.directory))
-        heads = segments(trace_records)
-        if len(heads) < 2:
-            failures.append(
-                f"telemetry: expected >= 2 trace segments "
-                f"(killed + resumed), found {len(heads)}"
-            )
-        else:
-            events = chrome_trace(trace_records).get("traceEvents", [])
-            if not events:
-                failures.append(
-                    "telemetry: merged trace exported no chrome events"
-                )
-            else:
-                print(
-                    f"[telemetry: trace.jsonl merged "
-                    f"{len(heads)} process segments, "
-                    f"{len(events)} chrome event(s)]"
-                )
-        return _kill_parent_verdict(failures)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
-def _kill_parent_verdict(failures: List[str]) -> int:
-    if failures:
-        for failure in failures:
-            print(f"CHAOS FAILURE: {failure}", file=sys.stderr)
-        return 1
-    print("[chaos: OK — orchestrator death survived; resume replayed "
-          "the journal and reproduced the digest]")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import ChaosPlan, QuarantineLog
-
-    if args.target == "serve":
-        if args.kill_server is None or args.kill_server < 1:
-            raise SystemExit(
-                "repro: error: chaos serve needs --kill-server N (N >= 1)"
-            )
-        if args.job == "sweep" and not args.spec:
-            raise SystemExit(
-                "repro: error: chaos serve --job sweep needs "
-                "--spec SPEC.toml"
-            )
-        from repro.serve.harness import run_kill_server_harness
-
-        return run_kill_server_harness(args)
-    if args.kill_server is not None:
-        raise SystemExit(
-            "repro: error: --kill-server is only meaningful for the "
-            "serve target"
-        )
-    if args.target == "sweep" and not args.spec:
-        raise SystemExit(
-            "repro: error: chaos sweep needs --spec SPEC.toml"
-        )
-    if args.kill_parent is not None:
-        if args.kill_parent < 1:
-            raise SystemExit(
-                "repro: error: --kill-parent needs a record count >= 1"
-            )
-        return _chaos_kill_parent(args)
-    if args.fault == "corrupt_cache":
-        if args.target == "fleet":
-            raise SystemExit(
-                "repro: error: corrupt_cache needs a cached target "
-                "(reproduce or sweep)"
-            )
-        if args.poison:
-            raise SystemExit(
-                "repro: error: --poison targets worker faults; "
-                "corrupt_cache selects cache keys by hash"
-            )
-    if args.fault == "hang" and args.unit_timeout is None:
-        # A hang without a deadline would stall the run by design.
-        args.unit_timeout = 5.0
-        print("[chaos: hang fault with no --unit-timeout; "
-              "defaulting to 5s]")
-    plan = ChaosPlan(
-        kind=args.fault,
-        probability=args.probability,
-        seed=args.chaos_seed,
-        poison_units=tuple(args.poison or ()),
-    )
-    policy = _retry_policy(args)
-    quarantine = QuarantineLog()
-    print(f"== chaos {args.target}: {plan.describe()} "
-          f"retries={policy.max_retries} "
-          f"timeout={policy.unit_timeout_s or 'none'} ==")
-    if args.target == "fleet":
-        failures = _chaos_fleet(args, plan, policy, quarantine)
-    elif args.target == "reproduce":
-        failures = _chaos_reproduce(args, plan, policy, quarantine)
-    else:
-        failures = _chaos_sweep(args, plan, policy, quarantine)
-    records = sorted(quarantine.load(), key=lambda r: r.unit_id)
-    for record in records:
-        detail = f" — {record.error}" if record.error else ""
-        print(f"[quarantined: {record.unit_id} ({record.kind} after "
-              f"{record.attempts} attempts{detail})]")
-    holes = sorted({record.unit_id for record in records})
-    expected = sorted(set(plan.poison_units))
-    if holes != expected:
-        failures.append(
-            f"quarantined units {holes} != poison set {expected}"
-        )
-    if failures:
-        for failure in failures:
-            print(f"CHAOS FAILURE: {failure}", file=sys.stderr)
-        return 1
-    print(f"[chaos: OK — fault={plan.kind} degraded predictably "
-          f"({len(holes)} hole(s), exact)]")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -1212,7 +750,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "conformance":
             return cmd_conformance(args)
         if args.command == "chaos":
-            return _cmd_chaos(args)
+            return cmd_chaos(args)
         if args.command == "serve":
             return cmd_serve(args)
         if args.command == "runs":

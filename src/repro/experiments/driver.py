@@ -161,8 +161,8 @@ class FleetDriver:
         resilience: retry/backoff/deadline policy for pooled dispatch
             (default :class:`~repro.resilience.policy.RetryPolicy`()).
         quarantine: where poisoned chunks are persisted (optional).
-        chaos: fault-injection plan override (tests/harness only; the
-            ``REPRO_CHAOS_PLAN`` environment variable otherwise).
+        chaos: fault-injection plan (tests and ``repro chaos`` only;
+            default: none).
         journal: crash-consistent run ledger (DESIGN.md §12).  A
             journaled run uses the *manifest's* frozen chunk plan,
             replays journaled chunks instead of re-simulating them, and

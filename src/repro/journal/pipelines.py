@@ -41,6 +41,7 @@ from repro.fleet.config import FaultPlan, FleetConfig
 from repro.journal.registry import RunInfo
 from repro.journal.run import RunJournal, open_run
 from repro.obs import run_tracing
+from repro.resilience import ChaosPlan, QuarantineLog, RetryPolicy
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import CampaignSpec
 
@@ -273,6 +274,9 @@ def run_pipeline(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     journal: Any = None,
+    policy: Optional[RetryPolicy] = None,
+    quarantine: Optional[QuarantineLog] = None,
+    chaos: Optional[ChaosPlan] = None,
 ) -> Any:
     """Run the ``kind`` pipeline a config payload describes.
 
@@ -282,21 +286,27 @@ def run_pipeline(
     :class:`~repro.sweep.safety.CampaignReport`.  ``journal`` may be any
     journal-shaped object (``repro serve`` passes its event tap); the
     fleet pipeline never caches, so ``cache`` reaches only the others.
+    ``policy``, ``quarantine`` and ``chaos`` go to the supervised
+    dispatch of every kind (``repro chaos`` runs its worker faults
+    through them).
     """
     if kind == "fleet":
         return FleetDriver(
             fleet_config_from_payload(payload), workers=workers,
+            resilience=policy, quarantine=quarantine, chaos=chaos,
             journal=journal,
         ).run()
     if kind == "reproduce":
         names, scale = reproduce_selection_from_payload(payload)
         return reproduce_all(
             parallel=workers > 1, workers=workers, scale=scale,
-            only=names, cache=cache, journal=journal,
+            only=names, cache=cache, resilience=policy,
+            quarantine=quarantine, chaos=chaos, journal=journal,
         )
     if kind == "sweep":
         return SweepRunner(
             spec_from_payload(payload), workers=workers, cache=cache,
+            resilience=policy, quarantine=quarantine, chaos=chaos,
             journal=journal,
         ).run()
     raise ValueError(f"unknown run kind {kind!r}")

@@ -16,15 +16,14 @@ proves it under injected faults.  This package supplies that layer:
   and the persistence ordering around them;
 * :mod:`~repro.resilience.quarantine` — persisted quarantine records;
 * :mod:`~repro.resilience.chaos` — seeded fault injection
-  (crash / hang / slow workers, corrupted cache writes) and the
-  ``repro chaos`` harness's building blocks.
+  (crash / hang / slow workers, corrupted cache writes), the building
+  blocks of the ``repro chaos`` harness (:mod:`repro.chaos`).
 """
 
 from repro.resilience.chaos import (
     CHAOS_FAULT_KINDS,
     ChaosCache,
     ChaosPlan,
-    active_plan,
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import PoolCounters, SupervisedPool
@@ -50,7 +49,6 @@ __all__ = [
     "QuarantineRecord",
     "RetryPolicy",
     "SupervisedPool",
-    "active_plan",
     "cancel_token",
     "set_cancel_token",
     "supervised_map",

@@ -29,15 +29,14 @@ supervised worker loop calls before executing each task.  It refuses to
 fire outside a worker process (``_IN_WORKER``), so an accidentally
 activated plan can never ``os._exit`` the main process.  Plans travel
 to workers inside the task tuple (not via environment inheritance, so
-a warm pool spawned before the plan existed still honors it); the
-``REPRO_CHAOS_PLAN`` environment variable (inline JSON) lets whole CLI
-invocations run under a plan without new flags.
+a warm pool spawned before the plan existed still honors it).  A plan
+is only ever passed explicitly (``chaos=``); ``repro chaos`` is the one
+CLI entry that builds one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -49,14 +48,10 @@ __all__ = [
     "CHAOS_FAULT_KINDS",
     "ChaosCache",
     "ChaosPlan",
-    "active_plan",
     "apply_worker_fault",
 ]
 
 CHAOS_FAULT_KINDS = ("crash", "hang", "corrupt_cache", "slow")
-
-#: Environment variable holding an inline JSON chaos plan.
-CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
 
 #: Set by the supervised worker bootstrap; worker-side faults refuse to
 #: fire when this is False (i.e. in the main process).
@@ -156,21 +151,6 @@ class ChaosPlan:
         if self.poison_units:
             parts.append(f"poison={','.join(self.poison_units)}")
         return " ".join(parts)
-
-
-def active_plan() -> Optional[ChaosPlan]:
-    """The plan in ``$REPRO_CHAOS_PLAN`` (inline JSON), if any.
-
-    Read fresh on every call — the dispatcher consults it once per
-    dispatch in the *parent* process and ships the plan inside each
-    task, so warm workers forked before the variable was set still see
-    it.  Malformed JSON raises: a chaos run that silently becomes a
-    fault-free run would "pass" every check vacuously.
-    """
-    raw = os.environ.get(CHAOS_PLAN_ENV)
-    if not raw:
-        return None
-    return ChaosPlan.from_dict(json.loads(raw))
 
 
 def apply_worker_fault(

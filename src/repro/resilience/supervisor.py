@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import spans as obs
-from repro.resilience.chaos import ChaosPlan, active_plan
+from repro.resilience.chaos import ChaosPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.quarantine import QuarantineLog, QuarantineRecord
 
@@ -149,8 +149,7 @@ def supervised_map(
             before re-raising any escaping exception.
         policy: retry policy (default :class:`RetryPolicy`()).
         quarantine: where poison units are persisted (optional).
-        chaos: fault-injection plan; default: the environment's
-            (:func:`repro.resilience.chaos.active_plan`).
+        chaos: fault-injection plan (default: none).
         on_result: streamed ``(unit_id, result)`` callback, completion
             order.
         on_quarantine: called the moment a unit is poisoned, so
@@ -169,8 +168,7 @@ def supervised_map(
         DispatchCancelled: the cancel token was set mid-dispatch.
     """
     policy = policy if policy is not None else RetryPolicy()
-    plan = chaos if chaos is not None else active_plan()
-    plan_dict = plan.to_dict() if plan is not None else None
+    plan_dict = chaos.to_dict() if chaos is not None else None
     payloads: Dict[str, Any] = {}
     for unit_id, payload in units:
         if unit_id in payloads:

@@ -1,11 +1,12 @@
 """A blocking stdlib client for the serve control plane.
 
-Used by the ``repro serve submit|status|...`` subcommands, the chaos
-harness, and tests.  One request-reply per connection for the simple
-verbs; ``watch`` holds its connection open and yields events until the
-job goes terminal (or the server dies — surfaced as a
-:class:`ServeUnavailable`, which is *expected* under the kill-server
-chaos harness and handled by reconnecting to the successor).
+Used by the ``repro serve submit|status|...`` subcommands, the
+``repro chaos --kill-server`` harness (:mod:`repro.chaos`), and tests.
+One request-reply per connection for the simple verbs; ``watch`` holds
+its connection open and yields events until the job goes terminal (or
+the server dies — surfaced as a :class:`ServeUnavailable`, which is
+*expected* under the kill-server chaos harness and handled by
+reconnecting to the successor).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ mid-job leaves a sealed-or-resumable journal and a lease that expires
 (or is stolen immediately by a successor on the same host, dead-pid
 rule).  On startup the server scans for interrupted runs and re-adopts
 them as internal jobs — re-executing zero journaled units.  The
-``repro chaos serve --kill-server N`` harness proves the whole loop.
+``repro chaos {fleet,reproduce,sweep} --kill-server N`` harness
+(:mod:`repro.chaos`) proves the whole loop.
 
 Shutdown surfaces, in decreasing gentleness:
 

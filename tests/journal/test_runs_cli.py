@@ -193,6 +193,23 @@ def test_reproduce_all_resume_needs_journal(cache_dir):
         )
 
 
+@pytest.mark.parametrize("command", ["fleet", "reproduce-all", "sweep"])
+def test_resume_refuses_no_journal_before_running(
+    command, capsys, cache_dir, spec_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+    argv = {
+        "fleet": ["fleet", "--nodes", "2", "--seconds", "5"],
+        "reproduce-all": ["reproduce-all", "--only", "table1"],
+        "sweep": ["sweep", "run", spec_path],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--resume", "--no-journal"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert list_runs(cache_dir) == []
+
+
 def test_fleet_journals_via_cache_env(capsys, cache_dir, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
     assert main(

@@ -1,12 +1,10 @@
-"""The chaos harness: seeded selection, the env plan, cache corruption."""
-
-import json
+"""Chaos plans: seeded selection, worker-fault guard, cache corruption."""
 
 import pytest
 
 from repro.cache import ResultCache
-from repro.resilience import ChaosCache, ChaosPlan, active_plan
-from repro.resilience.chaos import CHAOS_PLAN_ENV, apply_worker_fault
+from repro.resilience import ChaosCache, ChaosPlan
+from repro.resilience.chaos import apply_worker_fault
 
 
 def test_selection_is_a_pure_function_of_seed_and_unit():
@@ -50,20 +48,6 @@ def test_plan_round_trips_through_dict():
         fault_attempts=(0, 1), poison_units=("a", "b"), hang_s=12.0,
     )
     assert ChaosPlan.from_dict(plan.to_dict()) == plan
-
-
-def test_active_plan_reads_the_environment(monkeypatch):
-    monkeypatch.delenv(CHAOS_PLAN_ENV, raising=False)
-    assert active_plan() is None
-    monkeypatch.setenv(
-        CHAOS_PLAN_ENV,
-        json.dumps({"kind": "crash", "probability": 0.5, "seed": 2}),
-    )
-    plan = active_plan()
-    assert plan == ChaosPlan(kind="crash", probability=0.5, seed=2)
-    monkeypatch.setenv(CHAOS_PLAN_ENV, "{broken")
-    with pytest.raises(ValueError):
-        active_plan()  # a silently-ignored plan would pass vacuously
 
 
 def test_worker_faults_refuse_to_fire_in_the_main_process():

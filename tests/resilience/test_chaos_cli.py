@@ -1,5 +1,7 @@
 """The ``repro chaos`` command line and the interrupt exit path."""
 
+import re
+
 import pytest
 
 from repro import cli
@@ -51,6 +53,19 @@ def test_chaos_sweep_poison_cell_reports_the_exact_hole(
     assert code == 0
     assert f"[quarantined: {poison} (crash after 3 attempts" in out
     assert "1 hole(s), exact" in out
+
+
+def test_chaos_sweep_corrupt_cache_quarantines_every_garbled_object(
+    capsys, spec_path
+):
+    code = main([
+        "chaos", "sweep", "--spec", spec_path, "--fault", "corrupt_cache",
+        "--probability", "0.9", "--workers", "2",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert re.search(r"corrupted [1-9]", out)
+    assert "chaos: OK" in out
 
 
 def test_chaos_rejects_incoherent_requests():

@@ -1,4 +1,5 @@
-"""``repro serve`` / ``repro chaos serve`` argument surface, in-process."""
+"""``repro serve`` / ``repro chaos --kill-server`` argument surface,
+in-process."""
 
 import os
 import tempfile
@@ -33,19 +34,11 @@ def test_serve_submit_without_server_is_unavailable(capsys):
     ) == 69
 
 
-def test_chaos_serve_requires_kill_server():
-    with pytest.raises(SystemExit, match="--kill-server"):
-        main(["chaos", "serve"])
-
-
-def test_chaos_serve_sweep_requires_spec():
-    with pytest.raises(SystemExit, match="--spec"):
-        main(["chaos", "serve", "--kill-server", "3", "--job", "sweep"])
-
-
-def test_kill_server_flag_rejected_for_other_targets():
-    with pytest.raises(SystemExit, match="only meaningful"):
-        main(["chaos", "fleet", "--kill-server", "3"])
+def test_kill_parent_and_kill_server_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "fleet", "--kill-parent", "3", "--kill-server", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_serve_start_rejects_bad_queue_limit(tmp_path):

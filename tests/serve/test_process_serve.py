@@ -100,8 +100,8 @@ def test_chaos_kill_server_fleet_survives(tmp_path, monkeypatch):
     sealed digest, then backpressure + SIGTERM drain."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "unused"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "chaos", "serve",
-         "--kill-server", "3", "--job", "fleet",
+        [sys.executable, "-m", "repro", "chaos", "fleet",
+         "--kill-server", "3",
          "--nodes", "8", "--seconds", "30", "--workers", "2"],
         env=_env(str(tmp_path / "unused")),
         capture_output=True,
@@ -112,4 +112,5 @@ def test_chaos_kill_server_fleet_survives(tmp_path, monkeypatch):
     assert "re-executed=0" in proc.stdout
     assert "[chaos: OK" in proc.stdout
     assert "matches uninterrupted run" in proc.stdout
+    assert "[telemetry: trace.jsonl merged" in proc.stdout
     assert "SIGTERM → exit 143" in proc.stdout
